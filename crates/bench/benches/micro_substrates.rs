@@ -23,13 +23,23 @@ fn bench_latch(c: &mut Criterion) {
     });
 }
 
+/// One scope open/close, outside a measurement window (what every
+/// transaction pays when nobody measures) and inside one.
 fn bench_profiler(c: &mut Criterion) {
-    use sli_profiler::{enter, Category};
-    c.bench_function("profiler/enter_exit", |b| {
+    use sli_profiler::{enter, reset, take_tally, Category};
+    let _ = take_tally();
+    c.bench_function("profiler/enter_exit_unarmed", |b| {
         b.iter(|| {
             let _g = enter(Category::Work(Component::LockManager));
         })
     });
+    reset();
+    c.bench_function("profiler/enter_exit_armed", |b| {
+        b.iter(|| {
+            let _g = enter(Category::Work(Component::LockManager));
+        })
+    });
+    let _ = take_tally();
 }
 
 fn bench_wal(c: &mut Criterion) {

@@ -250,7 +250,7 @@ pub fn run_workload(db: &Arc<Database>, mix: &MixedWorkload, cfg: &RunConfig) ->
             0,
         ));
     }
-    if let Some(h) = &late.hist {
+    for h in late.iter().filter_map(|(_, core)| core.hist.as_ref()) {
         total_hist.merge(h);
     }
 

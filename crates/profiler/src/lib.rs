@@ -14,6 +14,10 @@
 //! frames — time spent inside a nested scope is attributed to the innermost
 //! category only.
 //!
+//! Scopes record only between [`reset`] and [`take_tally`], which arm and
+//! disarm the calling thread; elsewhere [`enter`] is a single thread-local
+//! flag read, so code outside a measurement window runs unprofiled.
+//!
 //! # Example
 //!
 //! ```

@@ -250,9 +250,12 @@ pub fn run_traffic<W: OpenLoopWorkload>(
                 let mut worker = workload.make_worker(worker_id, seed);
                 while let Some(scheduled_ns) = queue.pop_wait() {
                     let outcome = workload.run_one(&mut worker);
-                    let now = elapsed_ns(epoch);
-                    let latency = now.saturating_sub(scheduled_ns);
-                    rec.record(now, outcome, latency);
+                    let latency = elapsed_ns(epoch).saturating_sub(scheduled_ns);
+                    // Filed under the arrival's window, the same one the
+                    // pacer counted it in, so a warm-up arrival that
+                    // completes after the boundary stays out of the
+                    // summary.
+                    rec.record(scheduled_ns, outcome, latency);
                 }
                 rec.flush();
                 // ordering: Release pairs with the collector's Acquire
@@ -281,7 +284,7 @@ pub fn run_traffic<W: OpenLoopWorkload>(
                 let (drained, late) = if workers_done {
                     telemetry.drain_rest()
                 } else {
-                    (telemetry.drain_upto(upto), WindowCore::default())
+                    (telemetry.drain_upto(upto), Vec::new())
                 };
                 let mut cores: BTreeMap<u64, WindowCore> = drained.into_iter().collect();
                 let last = cores.keys().next_back().copied().unwrap_or(next_wid);
@@ -319,13 +322,14 @@ pub fn run_traffic<W: OpenLoopWorkload>(
                     }
                 }
                 next_wid = end + 1;
-                // Conservation: samples that beat the watermark still
-                // count toward the summary, just without a window.
-                if late.completions() > 0 {
-                    report.summary.commits += late.commits;
-                    report.summary.user_fails += late.user_fails;
-                    report.summary.sys_aborts += late.sys_aborts;
-                    if let Some(h) = &late.hist {
+                // Conservation: measured samples that were flushed behind
+                // the watermark still count toward the summary, just
+                // without a rendered window.
+                for (_, core) in late.iter().filter(|(wid, _)| *wid >= warmup_windows) {
+                    report.summary.commits += core.commits;
+                    report.summary.user_fails += core.user_fails;
+                    report.summary.sys_aborts += core.sys_aborts;
+                    if let Some(h) = &core.hist {
                         total_hist.merge(h);
                     }
                 }

@@ -41,4 +41,4 @@ pub use driver::{run_traffic, OpenLoopWorkload, Phase, TrafficConfig, TrafficRep
 pub use hist::Hist;
 pub use queue::AdmissionQueue;
 pub use schedule::{ArrivalPattern, ArrivalSchedule};
-pub use telemetry::{Recorder, Telemetry, TxnOutcome, WindowCore};
+pub use telemetry::{Recorder, Telemetry, TxnOutcome, WindowCore, Windows};

@@ -13,8 +13,8 @@
 //!
 //! A collector drains completed windows with [`Telemetry::drain_upto`];
 //! anything merged *behind* the drain watermark (a worker that stalled
-//! mid-window and flushed late) is folded into a `late` catch-all
-//! aggregate instead of being dropped, so totals are conserved even
+//! mid-window and flushed late) is kept aside as `late`, still under its
+//! window id, instead of being dropped, so totals are conserved even
 //! under pathological scheduling. The rollover test in
 //! `tests/telemetry.rs` asserts exactly that invariant under concurrent
 //! recorders.
@@ -67,6 +67,9 @@ impl WindowCore {
     }
 }
 
+/// Windows keyed by id, in id order.
+pub type Windows = Vec<(u64, WindowCore)>;
+
 /// A recorder's thread-local accumulator for one window.
 struct Acc {
     commits: u64,
@@ -101,10 +104,10 @@ struct Shared {
     /// Completed windows awaiting the collector, keyed by window id.
     windows: BTreeMap<u64, WindowCore>,
     /// Windows with id below this have been drained; merges landing
-    /// behind it fold into `late`.
+    /// behind it go to `late`.
     drained_upto: u64,
-    /// Catch-all for samples flushed behind the drain watermark.
-    late: WindowCore,
+    /// Samples flushed behind the drain watermark, by window id.
+    late: BTreeMap<u64, WindowCore>,
 }
 
 /// The shared aggregation point. Create one per run, hand each worker a
@@ -123,7 +126,7 @@ impl Telemetry {
             shared: Mutex::new(Shared {
                 windows: BTreeMap::new(),
                 drained_upto: 0,
-                late: WindowCore::default(),
+                late: BTreeMap::new(),
             }),
         })
     }
@@ -150,7 +153,7 @@ impl Telemetry {
     fn merge(&self, wid: u64, acc: &Acc) {
         let mut s = self.shared.lock().expect("telemetry mutex");
         if wid < s.drained_upto {
-            s.late.merge_acc(acc);
+            s.late.entry(wid).or_default().merge_acc(acc);
         } else {
             s.windows.entry(wid).or_default().merge_acc(acc);
         }
@@ -160,7 +163,7 @@ impl Telemetry {
     /// `upto`, in id order, advancing the drain watermark. Window ids
     /// with no samples are simply absent — the caller decides whether a
     /// gap means "idle second" (open loop) or "nothing measured yet".
-    pub fn drain_upto(&self, upto: u64) -> Vec<(u64, WindowCore)> {
+    pub fn drain_upto(&self, upto: u64) -> Windows {
         let mut s = self.shared.lock().expect("telemetry mutex");
         let keep = s.windows.split_off(&upto);
         let drained = std::mem::replace(&mut s.windows, keep);
@@ -169,12 +172,13 @@ impl Telemetry {
     }
 
     /// Drain every remaining window (call after all recorders have
-    /// flushed/dropped) plus the late catch-all aggregate.
-    pub fn drain_rest(&self) -> (Vec<(u64, WindowCore)>, WindowCore) {
+    /// flushed/dropped) plus the samples that were flushed behind the
+    /// watermark, each list keyed by window id.
+    pub fn drain_rest(&self) -> (Windows, Windows) {
         let mut s = self.shared.lock().expect("telemetry mutex");
         s.drained_upto = u64::MAX;
         let windows = std::mem::take(&mut s.windows).into_iter().collect();
-        let late = std::mem::take(&mut s.late);
+        let late = std::mem::take(&mut s.late).into_iter().collect();
         (windows, late)
     }
 }
@@ -242,7 +246,7 @@ mod tests {
         assert_eq!(windows[0].1.user_fails, 1);
         assert_eq!(windows[1].1.commits, 1);
         assert_eq!(windows[2].1.sys_aborts, 1);
-        assert_eq!(late.completions(), 0);
+        assert!(late.is_empty());
     }
 
     #[test]
@@ -254,11 +258,13 @@ mod tests {
         let drained = t.drain_upto(5);
         assert!(drained.is_empty(), "window 0 not yet flushed");
         // The stalled recorder finally flushes window 0 — behind the
-        // watermark, so it lands in the late aggregate.
+        // watermark, so it lands in `late`, still under its window id.
         drop(r);
         let (rest, late) = t.drain_rest();
         assert!(rest.is_empty());
-        assert_eq!(late.commits, 1);
+        assert_eq!(late.len(), 1);
+        assert_eq!(late[0].0, 0);
+        assert_eq!(late[0].1.commits, 1);
     }
 
     #[test]
@@ -279,6 +285,6 @@ mod tests {
             rest.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
             vec![3, 4]
         );
-        assert_eq!(late.completions(), 0);
+        assert!(late.is_empty());
     }
 }

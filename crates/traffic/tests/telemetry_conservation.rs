@@ -73,16 +73,12 @@ fn concurrent_rollover_loses_and_duplicates_nothing() {
     let mut fails = 0u64;
     let mut aborts = 0u64;
     let mut hist_count = 0u64;
-    for (_, core) in drained.iter().chain(rest.iter()) {
+    for (_, core) in drained.iter().chain(rest.iter()).chain(late.iter()) {
         commits += core.commits;
         fails += core.user_fails;
         aborts += core.sys_aborts;
         hist_count += core.hist.as_ref().map_or(0, |h| h.count());
     }
-    commits += late.commits;
-    fails += late.user_fails;
-    aborts += late.sys_aborts;
-    hist_count += late.hist.as_ref().map_or(0, |h| h.count());
 
     let total = RECORDERS as u64 * SAMPLES;
     assert_eq!(
