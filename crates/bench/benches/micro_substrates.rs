@@ -1,10 +1,11 @@
 //! Criterion microbenchmarks of the substrate crates: latches, log buffer,
-//! heap pages, indexes, and the engine's end-to-end row operations.
+//! heap pages, indexes, the engine's end-to-end row operations, and MVCC
+//! snapshot scans alone and beside a second scanning session.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sli_engine::{Database, DatabaseConfig};
+use sli_engine::{BackendKind, Database, DatabaseConfig, Session, TableHandle};
 use sli_profiler::Component;
 
 fn bench_latch(c: &mut Criterion) {
@@ -121,9 +122,59 @@ fn bench_engine_ops(c: &mut Criterion) {
     });
 }
 
+/// One read-only MVCC transaction scanning all 1,000 rows of `t` (the
+/// size of the TPC-B teller scan in a branch audit).
+fn scan_1000(s: &Session, t: TableHandle) -> u64 {
+    s.run(|txn| {
+        let mut sum = 0u64;
+        txn.scan_ordered(t, 1, 1000, 1000, |_, row| sum += row[0] as u64)?;
+        Ok(sum)
+    })
+    .unwrap()
+}
+
+/// Snapshot-scan cost per transaction, by one session alone and while a
+/// second session scans the same table on another thread: rows that
+/// two readers share should not make either slower.
+fn bench_mvcc_scan(c: &mut Criterion) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let db = Database::open(
+        DatabaseConfig::default()
+            .backend(BackendKind::Mvcc)
+            .in_memory(),
+    );
+    let t = db.create_table("scan").unwrap();
+    for k in 1..=1000u64 {
+        db.bulk_insert(t, k, Some(k), &[k as u8; 100]);
+    }
+    // One committed update per row gives every row a version chain, as
+    // the account updates of a running TPC-B mix do to teller rows.
+    let s = db.session();
+    for k in 1..=1000u64 {
+        s.run(|txn| txn.update_by_key(t, k, |row| row.to_vec()))
+            .unwrap();
+    }
+    c.bench_function("mvcc/scan_1000_rows", |b| b.iter(|| scan_1000(&s, t)));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let other = db.session();
+            // ordering: a stop flag; nothing is published through it.
+            while !stop.load(Ordering::Relaxed) {
+                criterion::black_box(scan_1000(&other, t));
+            }
+        });
+        c.bench_function("mvcc/scan_1000_rows_2_sessions", |b| {
+            b.iter(|| scan_1000(&s, t))
+        });
+        // ordering: see above.
+        stop.store(true, Ordering::Relaxed);
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_latch, bench_profiler, bench_wal, bench_storage, bench_engine_ops
+    targets = bench_latch, bench_profiler, bench_wal, bench_storage, bench_engine_ops, bench_mvcc_scan
 );
 criterion_main!(benches);

@@ -57,7 +57,7 @@ pub(crate) trait ConcurrencyBackend: Send + Sync {
 
     /// Start a transaction on a session: register it with the backend
     /// and build the `Txn` that routes operations to this backend.
-    fn begin_txn<'a>(&self, db: &'a Arc<Database>, state: &'a mut SessionState) -> Txn<'a>;
+    fn begin_txn<'a>(&'a self, db: &'a Arc<Database>, state: &'a mut SessionState) -> Txn<'a>;
 
     /// Settle background state while no transaction is running (MVCC:
     /// run a full GC pass so version chains collapse back into the
@@ -83,7 +83,7 @@ impl ConcurrencyBackend for LockedBackend {
         BackendKind::Locked2pl
     }
 
-    fn begin_txn<'a>(&self, db: &'a Arc<Database>, state: &'a mut SessionState) -> Txn<'a> {
+    fn begin_txn<'a>(&'a self, db: &'a Arc<Database>, state: &'a mut SessionState) -> Txn<'a> {
         let SessionState { agent, ts, .. } = state;
         db.lockmgr.begin(ts, agent);
         Txn::new(db, TxnOps::locked(ts, agent))
@@ -108,11 +108,11 @@ impl ConcurrencyBackend for MvccBackend {
         BackendKind::Mvcc
     }
 
-    fn begin_txn<'a>(&self, db: &'a Arc<Database>, state: &'a mut SessionState) -> Txn<'a> {
+    fn begin_txn<'a>(&'a self, db: &'a Arc<Database>, state: &'a mut SessionState) -> Txn<'a> {
         let slot = state.agent.slot();
         let read_ts = self.store.begin(slot);
         state.mvcc.reset(read_ts, slot);
-        Txn::new(db, TxnOps::mvcc(&mut state.mvcc, Arc::clone(&self.store)))
+        Txn::new(db, TxnOps::mvcc(&mut state.mvcc, &self.store))
     }
 
     fn quiesce(&self, db: &Database) {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use sli_core::{AgentSliState, LockError, LockId, LockMode, TxnLockState};
-use sli_mvcc::{MvccStore, MvccTxn, ReadEntry, WriteError, WriteKind, WriteOp};
+use sli_mvcc::{MvccStore, MvccTxn, ReadEntry, Visible, WriteError, WriteKind, WriteOp};
 use sli_profiler::{Category, Component};
 use sli_storage::Rid;
 use sli_wal::{LogRecord, Lsn, WalError};
@@ -230,43 +230,49 @@ impl LockedOps<'_> {
 /// The MVCC/optimistic execution state of one transaction.
 pub(crate) struct MvccOps<'a> {
     txn: &'a mut MvccTxn,
-    store: Arc<MvccStore>,
+    store: &'a MvccStore,
 }
 
 impl MvccOps<'_> {
-    /// Snapshot read of `(table, rid)`: own uncommitted write if any,
-    /// else the version visible at `read_ts` (entered into the read
-    /// set). `Ok(None)` means the record is invisible to this snapshot.
-    fn read_rid(
+    /// Snapshot read of `(table, rid)`, handed to `f` by reference: own
+    /// uncommitted write if any, else the version visible at `read_ts`
+    /// (entered into the read set). `Ok(None)` means the record is
+    /// invisible to this snapshot.
+    fn visit_rid<T>(
         &mut self,
         db: &Database,
         table: TableHandle,
         rid: Rid,
-    ) -> Result<Option<Bytes>, TxnError> {
+        f: impl FnOnce(&Bytes) -> T,
+    ) -> Result<Option<T>, TxnError> {
         if let Some(op) = self.txn.own_write(table.0, rid) {
             // Own provisional; no read-set entry needed — our
             // provisional blocks any other writer from committing a
             // newer version underneath us.
-            return Ok(op.after.clone());
+            return Ok(op.after.as_ref().map(f));
         }
-        let t = db.table(table);
-        // Heap first, chain second: when no chain exists at probe time
-        // the heap value IS the base version (chains are created before
-        // any commit mutates the heap, and collapse only runs
-        // quiesced).
-        let heap_base = {
-            let _s = sli_profiler::enter(Category::Work(Component::Storage));
-            t.heap.read(rid)
-        };
-        let obs = self
-            .store
-            .read(table.0, rid, self.txn.read_ts, self.txn.token(), heap_base);
+        // Chain first; the heap only when no chain exists, read under
+        // the shard mutex (see `MvccStore::read`).
+        let (out, seen) =
+            self.store.read(
+                table.0,
+                rid,
+                self.txn.read_ts,
+                self.txn.token(),
+                |v| match v {
+                    Visible::Chain(data) => data.map(f),
+                    Visible::Heap => {
+                        let _s = sli_profiler::enter(Category::Work(Component::Storage));
+                        db.table(table).heap.read_with(rid, |data| data.map(f))
+                    }
+                },
+            );
         self.txn.reads.push(ReadEntry {
             table: table.0,
             rid,
-            seen: obs.seen,
+            seen,
         });
-        Ok(obs.data)
+        Ok(out)
     }
 
     /// Install a provisional write (`None` deletes); returns the
@@ -278,11 +284,6 @@ impl MvccOps<'_> {
         rid: Rid,
         data: Option<Bytes>,
     ) -> Result<Option<Bytes>, TxnError> {
-        let t = db.table(table);
-        let heap_base = {
-            let _s = sli_profiler::enter(Category::Work(Component::Storage));
-            t.heap.read(rid)
-        };
         self.store
             .write(
                 table.0,
@@ -290,7 +291,10 @@ impl MvccOps<'_> {
                 self.txn.read_ts,
                 self.txn.token(),
                 data,
-                heap_base,
+                || {
+                    let _s = sli_profiler::enter(Category::Work(Component::Storage));
+                    db.table(table).heap.read(rid)
+                },
             )
             .map_err(|e| match e {
                 WriteError::Conflict(why) => TxnError::Validation(why),
@@ -315,7 +319,7 @@ impl<'a> TxnOps<'a> {
         })
     }
 
-    pub(crate) fn mvcc(txn: &'a mut MvccTxn, store: Arc<MvccStore>) -> TxnOps<'a> {
+    pub(crate) fn mvcc(txn: &'a mut MvccTxn, store: &'a MvccStore) -> TxnOps<'a> {
         TxnOps::Mvcc(MvccOps { txn, store })
     }
 }
@@ -400,7 +404,8 @@ impl<'a> Txn<'a> {
             TxnOps::Mvcc(m) => {
                 db.pool.access(table.0, rid.page);
                 row_work(db);
-                m.read_rid(db, table, rid)?.ok_or(TxnError::NotFound)
+                let data = m.visit_rid(db, table, rid, Bytes::clone)?;
+                data.ok_or(TxnError::NotFound)
             }
         }
     }
@@ -639,8 +644,10 @@ impl<'a> Txn<'a> {
     /// S-locks each visited record. MVCC: reads each record's
     /// snapshot-visible version without any locks, silently skipping
     /// records invisible to the snapshot (committed after it, or
-    /// tombstoned before it). Own uncommitted inserts are not yet in
-    /// the shared index and are not visited.
+    /// tombstoned before it), and hands `visit` each version by
+    /// reference while its shard mutex is held — so `visit` must not
+    /// block. Own uncommitted inserts are not yet in the shared index
+    /// and are not visited.
     pub fn scan_ordered(
         &mut self,
         table: TableHandle,
@@ -665,8 +672,9 @@ impl<'a> Txn<'a> {
                 TxnOps::Mvcc(m) => {
                     db.pool.access(table.0, rid.page);
                     row_work(db);
-                    if let Some(data) = m.read_rid(db, table, rid)? {
-                        visit(key, &data);
+                    if m.visit_rid(db, table, rid, |data| visit(key, data))?
+                        .is_some()
+                    {
                         n += 1;
                     }
                 }

@@ -136,10 +136,16 @@ fn concurrent_transfers_preserve_balance_under_mvcc() {
     }
 
     let retried = Arc::new(AtomicU64::new(0));
+    // Every thread's first transfer waits here between its reads and
+    // its writes, so all four snapshots overlap however the threads are
+    // scheduled. The first transfers share rows (threads 0 and 1 both
+    // touch account 7, threads 2 and 3 account 0), so they conflict.
+    let overlap = std::sync::Barrier::new(THREADS);
     std::thread::scope(|scope| {
         for me in 0..THREADS {
             let db = Arc::clone(&db);
             let retried = Arc::clone(&retried);
+            let overlap = &overlap;
             scope.spawn(move || {
                 let s = db.session();
                 let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(me as u64 + 1);
@@ -152,11 +158,20 @@ fn concurrent_transfers_preserve_balance_under_mvcc() {
                     let delta = (i as i64 % 17) + 1;
                     let mut attempts = 0u64;
                     s.run_with_retries(1_000, |txn| {
+                        // A loser retrying at once can spend its whole
+                        // budget against the provisional of a winner
+                        // that is waiting for a CPU.
+                        if attempts > 0 {
+                            std::thread::yield_now();
+                        }
                         attempts += 1;
                         let debit =
                             i64::from_le_bytes(txn.read_by_key(t, from)?[..8].try_into().unwrap());
                         let credit =
                             i64::from_le_bytes(txn.read_by_key(t, to)?[..8].try_into().unwrap());
+                        if i == 0 && attempts == 1 {
+                            overlap.wait();
+                        }
                         txn.update_by_key(t, from, |_| (debit - delta).to_le_bytes().to_vec())?;
                         txn.update_by_key(t, to, |_| (credit + delta).to_le_bytes().to_vec())?;
                         Ok(())
@@ -181,8 +196,8 @@ fn concurrent_transfers_preserve_balance_under_mvcc() {
         .unwrap();
     assert_eq!(total, OPENING * ACCOUNTS as i64, "balance not conserved");
 
-    // The run really exercised the OCC abort/retry path: with 4 threads
-    // hammering 8 rows, validation conflicts are certain.
+    // The run really exercised the OCC abort/retry path: the first
+    // transfers overlap on shared rows, so conflicts are certain.
     let stats = db.mvcc_stats().expect("mvcc backend exposes stats");
     assert!(
         stats.validation_aborts + stats.ww_conflicts > 0,

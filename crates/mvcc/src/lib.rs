@@ -31,5 +31,5 @@
 mod store;
 mod txn;
 
-pub use store::{MvccConfig, MvccStats, MvccStore, WriteError};
+pub use store::{MvccConfig, MvccStats, MvccStore, Visible, WriteError};
 pub use txn::{MvccTxn, ReadEntry, WriteKind, WriteOp};

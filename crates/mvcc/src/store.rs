@@ -1,11 +1,21 @@
 //! The shared MVCC store: timestamps, snapshots, version map, GC.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sli_storage::{Observation, Provisional, Rid, VersionChain, BASE_TS, NOTHING_SEEN};
+use sli_storage::{Provisional, Rid, VersionChain, BASE_TS, NOTHING_SEEN};
+
+// The `sli_check` feature makes the wait for a preparing writer a
+// schedule point of the model checker (see
+// crates/check/tests/mvcc_models.rs); the shard mutexes follow
+// parking_lot's own `sli_check` feature.
+#[cfg(feature = "sli_check")]
+use sli_check::thread::yield_now;
+#[cfg(not(feature = "sli_check"))]
+use std::thread::yield_now;
 
 use crate::txn::ReadEntry;
 
@@ -86,7 +96,77 @@ struct Counters {
 // ordering: pure stats counters — monotone, read only by snapshot().
 const STAT: Ordering = Ordering::Relaxed;
 
-type Shard = Mutex<HashMap<(u32, Rid), VersionChain>>;
+/// A version-map key: one record of one table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ChainKey {
+    table: u32,
+    rid: Rid,
+}
+
+impl ChainKey {
+    /// Fibonacci mix of the key's words. Bits 32.. pick the shard;
+    /// [`MixHasher`] folds the whole word into the shard map's hash.
+    fn mix(self) -> u64 {
+        (self.table as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add((self.rid.page as u64) << 16)
+            .wrapping_add(self.rid.slot as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+}
+
+impl Hash for ChainKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.mix());
+    }
+}
+
+/// Hasher for [`ChainKey`]s, which hash themselves with
+/// [`ChainKey::mix`]. The high half is folded into the low one because
+/// the low bits of a product depend only on the low bits of the key
+/// (the slot), and the map picks buckets from the low bits; the top
+/// bits it tags entries with stay as mixed.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("ChainKey hashes through write_u64");
+    }
+
+    fn write_u64(&mut self, mixed: u64) {
+        self.0 = mixed;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// One shard of the version map.
+#[derive(Default)]
+struct ShardMap {
+    chains: HashMap<ChainKey, VersionChain, BuildHasherDefault<MixHasher>>,
+    /// Keys of the chains holding a shadowed committed version (two or
+    /// more committed versions): the only chains a prune can shorten.
+    /// A key enters when an install gives its chain a second version
+    /// and leaves when a prune or a collapse takes it back below two.
+    prunable: Vec<ChainKey>,
+}
+
+type Shard = Mutex<ShardMap>;
+
+/// What a snapshot read found; see [`MvccStore::read`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Visible<'a> {
+    /// A version chain resolved the read: the bytes visible at the
+    /// snapshot (`None`: invisible to it), or the reader's own
+    /// provisional bytes.
+    Chain(Option<&'a Bytes>),
+    /// No chain exists, so the heap holds the base version. The shard
+    /// mutex is held: read the heap now.
+    Heap,
+}
 
 /// The shared state of the MVCC backend for one database.
 ///
@@ -119,6 +199,16 @@ type Shard = Mutex<HashMap<(u32, Rid), VersionChain>>;
 /// owner is preparing at or below its snapshot waits (bounded: the
 /// window covers validation + in-memory log append, never the flush)
 /// until the flip or the validation abort resolves it.
+///
+/// # Lock order
+///
+/// Shard mutex, then heap page latch. [`MvccStore::read`] and
+/// [`MvccStore::write`] read the heap under the shard mutex, and the
+/// collapse in [`MvccStore::gc`] deletes heap rows under it. No path
+/// takes a shard mutex while it holds a page latch: commit applies its
+/// heap effects after [`MvccStore::install`] has released every shard,
+/// and rollback frees heap rows after [`MvccStore::discard`]. At most
+/// one shard mutex is held at a time.
 pub struct MvccStore {
     config: MvccConfig,
     /// Last issued timestamp.
@@ -143,22 +233,16 @@ impl MvccStore {
             active: (0..max_agents).map(|_| AtomicU64::new(0)).collect(),
             preparing: (0..max_agents).map(|_| AtomicU64::new(0)).collect(),
             shards: (0..shard_count)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(ShardMap::default()))
                 .collect(),
             writer_commits: AtomicU64::new(0),
             stats: Counters::default(),
         }
     }
 
-    fn shard(&self, table: u32, rid: Rid) -> &Shard {
-        // Fibonacci hash over the rid words; shard count is a power of
-        // two.
-        let h = (table as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add((rid.page as u64) << 16)
-            .wrapping_add(rid.slot as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(h >> 32) as usize & (self.shards.len() - 1)]
+    fn shard(&self, key: ChainKey) -> &Shard {
+        // Shard count is a power of two.
+        &self.shards[(key.mix() >> 32) as usize & (self.shards.len() - 1)]
     }
 
     /// Advance the timestamp floor (recovery: past every WAL txn id).
@@ -207,59 +291,63 @@ impl MvccStore {
         self.preparing[slot as usize].store(0, Ordering::SeqCst);
     }
 
-    /// Resolve a snapshot read of `(table, rid)`.
+    /// Resolve a snapshot read of `(table, rid)`: hand `resolve` what
+    /// the snapshot sees and return its result with the identity of the
+    /// version observed (the read-set `seen`).
     ///
-    /// `heap_base` is the record's *current heap bytes, read before this
-    /// probe*: when no chain exists the heap value is by definition the
-    /// base version (writers create the chain — seeding it with the base
-    /// — before their commit ever mutates the heap, and chains collapse
-    /// only while no snapshot is active). When a chain exists,
-    /// resolution is entirely chain-internal and `heap_base` is ignored.
-    pub fn read(
+    /// The chain is probed first; `resolve` gets [`Visible::Heap`] only
+    /// when no chain exists, and is called — exactly once, either way —
+    /// with the shard mutex held. That is what makes a heap read the
+    /// base version: a writer seeds the chain from the heap under this
+    /// mutex before its commit can mutate the heap, so none can slip in
+    /// between the probe and the read; and chains collapse only while
+    /// no snapshot is active. Bytes are handed over by reference, so a
+    /// scan need not clone them. `resolve` runs under the mutex: keep
+    /// it short, and it may take a heap page latch but no shard (see
+    /// the lock order on [`MvccStore`]).
+    pub fn read<T>(
         &self,
         table: u32,
         rid: Rid,
         read_ts: u64,
         token: u64,
-        heap_base: Option<Bytes>,
-    ) -> Observation {
+        resolve: impl FnOnce(Visible<'_>) -> T,
+    ) -> (T, u64) {
+        let key = ChainKey { table, rid };
         loop {
             {
-                let shard = self.shard(table, rid).lock();
-                let Some(chain) = shard.get(&(table, rid)) else {
-                    return Observation {
-                        data: heap_base,
-                        seen: BASE_TS,
-                    };
+                let shard = self.shard(key).lock();
+                let Some(chain) = shard.chains.get(&key) else {
+                    return (resolve(Visible::Heap), BASE_TS);
                 };
-                match &chain.provisional {
+                let unresolved = match &chain.provisional {
                     Some(p) if p.owner == token => {
                         // Own uncommitted write (engine overlays usually
                         // catch this first): see own data, validate
                         // against the unchanged committed identity.
-                        return Observation {
-                            data: p.data.clone(),
-                            seen: chain.newest_identity(),
-                        };
+                        return (
+                            resolve(Visible::Chain(p.data.as_ref())),
+                            chain.newest_identity(),
+                        );
                     }
                     Some(p) => {
+                        // A writer committing at or below our snapshot
+                        // must be waited for (flip or abort) so the cut
+                        // stays consistent. One still active, or
+                        // committing after this snapshot, is invisible
+                        // either way.
                         let st = self.preparing[p.owner as usize - 1].load(Ordering::SeqCst);
-                        let unresolved = st == PREPARE_PENDING || (st != 0 && st <= read_ts);
-                        if !unresolved {
-                            // Writer still active, or committing after
-                            // this snapshot: its provisional is
-                            // invisible either way.
-                            return chain.visible_at(read_ts);
-                        }
-                        // Writer is committing at or below our
-                        // snapshot: wait for the flip (or the abort) so
-                        // the cut stays consistent.
+                        st == PREPARE_PENDING || (st != 0 && st <= read_ts)
                     }
-                    None => return chain.visible_at(read_ts),
+                    None => false,
+                };
+                if !unresolved {
+                    let (data, seen) = chain.visible_ref(read_ts);
+                    return (resolve(Visible::Chain(data)), seen);
                 }
             }
             self.stats.read_waits.fetch_add(1, STAT);
-            std::thread::yield_now();
+            yield_now();
         }
     }
 
@@ -267,6 +355,10 @@ impl MvccStore {
     /// Returns the snapshot-visible pre-image on success. First-writer-
     /// wins: a foreign provisional — or a committed version newer than
     /// `read_ts` — aborts this writer instead of queueing it.
+    ///
+    /// `heap_base` reads the record's heap bytes. Like the heap read of
+    /// [`MvccStore::read`] it is called only when no chain exists, under
+    /// the shard mutex, and its bytes seed the chain's base version.
     pub fn write(
         &self,
         table: u32,
@@ -274,12 +366,13 @@ impl MvccStore {
         read_ts: u64,
         token: u64,
         data: Option<Bytes>,
-        heap_base: Option<Bytes>,
+        heap_base: impl FnOnce() -> Option<Bytes>,
     ) -> Result<Option<Bytes>, WriteError> {
-        let mut shard = self.shard(table, rid).lock();
-        match shard.entry((table, rid)) {
+        let key = ChainKey { table, rid };
+        let mut shard = self.shard(key).lock();
+        match shard.chains.entry(key) {
             std::collections::hash_map::Entry::Vacant(slot) => {
-                let Some(before) = heap_base else {
+                let Some(before) = heap_base() else {
                     return Err(WriteError::NotFound);
                 };
                 let mut chain = VersionChain::with_base(Some(before.clone()));
@@ -316,9 +409,10 @@ impl MvccStore {
     /// row was just allocated; no index entry points at it yet, so no
     /// committed base exists).
     pub fn insert_provisional(&self, table: u32, rid: Rid, token: u64, data: Bytes) {
-        let mut shard = self.shard(table, rid).lock();
-        let prev = shard.insert(
-            (table, rid),
+        let key = ChainKey { table, rid };
+        let mut shard = self.shard(key).lock();
+        let prev = shard.chains.insert(
+            key,
             VersionChain {
                 provisional: Some(Provisional {
                     owner: token,
@@ -336,8 +430,12 @@ impl MvccStore {
     /// preparing, so no chain we check can be collapsed underneath us.
     pub fn validate(&self, reads: &[ReadEntry], token: u64) -> Result<(), &'static str> {
         for r in reads {
-            let shard = self.shard(r.table, r.rid).lock();
-            match shard.get(&(r.table, r.rid)) {
+            let key = ChainKey {
+                table: r.table,
+                rid: r.rid,
+            };
+            let shard = self.shard(key).lock();
+            match shard.chains.get(&key) {
                 None => {
                     // No chain now means no chain existed at read time
                     // (chains only collapse while nothing is active).
@@ -362,10 +460,16 @@ impl MvccStore {
     pub fn install(&self, rids: impl Iterator<Item = (u32, Rid)>, token: u64, commit_ts: u64) {
         let mut flipped = 0u64;
         for (table, rid) in rids {
-            let mut shard = self.shard(table, rid).lock();
-            if let Some(chain) = shard.get_mut(&(table, rid)) {
+            let key = ChainKey { table, rid };
+            let mut shard = self.shard(key).lock();
+            let ShardMap { chains, prunable } = &mut *shard;
+            if let Some(chain) = chains.get_mut(&key) {
                 if chain.install(token, commit_ts) {
                     flipped += 1;
+                    if chain.committed.len() == 2 {
+                        // The previous version is now shadowed.
+                        prunable.push(key);
+                    }
                 }
             }
         }
@@ -377,10 +481,13 @@ impl MvccStore {
     /// validation abort), removing chains that become empty.
     pub fn discard(&self, rids: impl Iterator<Item = (u32, Rid)>, token: u64) {
         for (table, rid) in rids {
-            let mut shard = self.shard(table, rid).lock();
-            if let Some(chain) = shard.get_mut(&(table, rid)) {
+            let key = ChainKey { table, rid };
+            let mut shard = self.shard(key).lock();
+            if let Some(chain) = shard.chains.get_mut(&key) {
                 if chain.discard(token) {
-                    shard.remove(&(table, rid));
+                    // Empty chains hold no committed version, so none is
+                    // on the prunable list.
+                    shard.chains.remove(&key);
                 }
             }
         }
@@ -410,7 +517,9 @@ impl MvccStore {
     /// current counter when nothing is active). Never removes whole
     /// chains, so it is safe concurrent with running transactions —
     /// a chain's `newest_identity` (what validation recomputes) is
-    /// untouched.
+    /// untouched. Visits only the chains on each shard's prunable list
+    /// (those with a shadowed version), so a pass costs what it can
+    /// prune, not the number of chains.
     pub fn prune_pass(&self) {
         self.stats.gc_runs.fetch_add(1, STAT);
         let watermark = self
@@ -418,10 +527,15 @@ impl MvccStore {
             .unwrap_or_else(|| self.ts.load(Ordering::SeqCst));
         let mut pruned = 0u64;
         for shard in self.shards.iter() {
-            let mut map = shard.lock();
-            for chain in map.values_mut() {
-                pruned += chain.prune(watermark) as u64;
-            }
+            let mut shard = shard.lock();
+            let ShardMap { chains, prunable } = &mut *shard;
+            prunable.retain(|key| match chains.get_mut(key) {
+                Some(chain) => {
+                    pruned += chain.prune(watermark) as u64;
+                    chain.committed.len() > 1
+                }
+                None => false,
+            });
         }
         self.stats.versions_pruned.fetch_add(pruned, STAT);
     }
@@ -448,17 +562,19 @@ impl MvccStore {
         self.stats.gc_runs.fetch_add(1, STAT);
         let mut collapsed = 0u64;
         for shard in self.shards.iter() {
-            let mut map = shard.lock();
-            map.retain(|&(table, rid), chain| {
+            let mut shard = shard.lock();
+            let ShardMap { chains, prunable } = &mut *shard;
+            chains.retain(|key, chain| {
                 if !chain.collapsible() {
                     return true;
                 }
                 if chain.ends_in_tombstone() {
-                    on_collapse(table, rid);
+                    on_collapse(key.table, key.rid);
                 }
                 collapsed += 1;
                 false
             });
+            prunable.retain(|key| chains.contains_key(key));
         }
         self.stats.chains_collapsed.fetch_add(collapsed, STAT);
     }
@@ -474,7 +590,22 @@ impl MvccStore {
 
     /// Number of live version chains (tests/diagnostics).
     pub fn chain_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().chains.len()).sum()
+    }
+
+    /// Copy of every live chain with its `(table, rid)`, in no
+    /// particular order (tests/diagnostics).
+    pub fn chains(&self) -> Vec<((u32, Rid), VersionChain)> {
+        self.shards
+            .iter()
+            .flat_map(|s| {
+                s.lock()
+                    .chains
+                    .iter()
+                    .map(|(k, c)| ((k.table, k.rid), c.clone()))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
     }
 
     /// Counter snapshot.
@@ -497,9 +628,20 @@ impl MvccStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sli_storage::Observation;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    /// [`MvccStore::read`] of `R` with the heap holding `heap`, cloning
+    /// what the snapshot sees.
+    fn read(store: &MvccStore, read_ts: u64, token: u64, heap: &str) -> Observation {
+        let (data, seen) = store.read(0, R, read_ts, token, |v| match v {
+            Visible::Chain(d) => d.cloned(),
+            Visible::Heap => Some(b(heap)),
+        });
+        Observation { data, seen }
     }
 
     const R: Rid = Rid { page: 0, slot: 0 };
@@ -509,14 +651,14 @@ mod tests {
         let store = MvccStore::new(4, MvccConfig::default());
         // No chain: heap value is the base.
         let t0 = store.begin(0);
-        let obs = store.read(0, R, t0, 1, Some(b("base")));
+        let obs = read(&store, t0, 1, "base");
         assert_eq!(obs.data.unwrap(), b("base"));
         assert_eq!(obs.seen, BASE_TS);
 
         // Writer on slot 1 updates and commits.
         let w = store.begin(1);
         store
-            .write(0, R, w, 2, Some(b("v2")), Some(b("base")))
+            .write(0, R, w, 2, Some(b("v2")), || Some(b("base")))
             .unwrap();
         let c = store.prepare_commit(1);
         store.validate(&[], 2).unwrap();
@@ -525,11 +667,11 @@ mod tests {
         store.end(1);
 
         // The old snapshot still sees the base; a fresh one sees v2.
-        let obs_old = store.read(0, R, t0, 1, Some(b("base")));
+        let obs_old = read(&store, t0, 1, "base");
         assert_eq!(obs_old.data.unwrap(), b("base"));
         let t1 = store.begin(1);
         assert!(t1 >= c);
-        let obs_new = store.read(0, R, t1, 2, Some(b("ignored")));
+        let obs_new = read(&store, t1, 2, "ignored");
         assert_eq!(obs_new.data.unwrap(), b("v2"));
         assert_eq!(obs_new.seen, c);
     }
@@ -540,17 +682,17 @@ mod tests {
         let t1 = store.begin(0);
         let t2 = store.begin(1);
         store
-            .write(0, R, t1, 1, Some(b("a")), Some(b("base")))
+            .write(0, R, t1, 1, Some(b("a")), || Some(b("base")))
             .unwrap();
         assert_eq!(
-            store.write(0, R, t2, 2, Some(b("b")), Some(b("base"))),
+            store.write(0, R, t2, 2, Some(b("b")), || Some(b("base"))),
             Err(WriteError::Conflict("first-writer-wins"))
         );
         // After the first writer aborts, the second can write.
         store.discard([(0, R)].into_iter(), 1);
         store.end(0);
         assert!(store
-            .write(0, R, t2, 2, Some(b("b")), Some(b("base")))
+            .write(0, R, t2, 2, Some(b("b")), || Some(b("base")))
             .is_ok());
     }
 
@@ -558,7 +700,7 @@ mod tests {
     fn validation_catches_a_newer_committed_version() {
         let store = MvccStore::new(4, MvccConfig::default());
         let t1 = store.begin(0);
-        let obs = store.read(0, R, t1, 1, Some(b("base")));
+        let obs = read(&store, t1, 1, "base");
         let reads = [ReadEntry {
             table: 0,
             rid: R,
@@ -567,7 +709,7 @@ mod tests {
         // A second transaction commits a new version of the same record.
         let t2 = store.begin(1);
         store
-            .write(0, R, t2, 2, Some(b("x")), Some(b("base")))
+            .write(0, R, t2, 2, Some(b("x")), || Some(b("base")))
             .unwrap();
         let c2 = store.prepare_commit(1);
         store.validate(&[], 2).unwrap();
@@ -587,7 +729,7 @@ mod tests {
         for i in 0..3u64 {
             let ts = store.begin(0);
             store
-                .write(0, R, ts, 1, Some(b(&format!("v{i}"))), Some(b("base")))
+                .write(0, R, ts, 1, Some(b(&format!("v{i}"))), || Some(b("base")))
                 .unwrap();
             let c = store.prepare_commit(0);
             store.validate(&[], 1).unwrap();
@@ -599,7 +741,7 @@ mod tests {
         let pin = store.begin(1);
         store.gc(|_, _| panic!("must not collapse with an active snapshot"));
         assert_eq!(store.chain_count(), 1);
-        let obs = store.read(0, R, pin, 2, Some(b("ignored")));
+        let obs = read(&store, pin, 2, "ignored");
         assert_eq!(obs.data.unwrap(), b("v2"), "newest survives pruning");
         store.end(1);
         // Idle: the chain collapses to the bare heap record.
@@ -612,7 +754,7 @@ mod tests {
     fn tombstone_collapse_reports_the_rid() {
         let store = MvccStore::new(4, MvccConfig::default());
         let ts = store.begin(0);
-        store.write(0, R, ts, 1, None, Some(b("base"))).unwrap();
+        store.write(0, R, ts, 1, None, || Some(b("base"))).unwrap();
         let c = store.prepare_commit(0);
         store.validate(&[], 1).unwrap();
         store.install([(0, R)].into_iter(), 1, c);

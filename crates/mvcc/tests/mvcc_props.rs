@@ -13,6 +13,9 @@
 //!    serializable outcomes: every committed transaction saw the serial
 //!    state at its snapshot, and the final store state equals a serial
 //!    replay of the committed transactions in commit-timestamp order.
+//! 4. **Targeted GC** — a `prune_pass`, which visits only the chains on
+//!    each shard's prunable list, prunes exactly what a walk over every
+//!    chain would, across commits, pinned snapshots, and collapses.
 
 #![recursion_limit = "1024"]
 
@@ -20,7 +23,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use sli_mvcc::{MvccConfig, MvccStore, ReadEntry};
+use sli_mvcc::{MvccConfig, MvccStore, ReadEntry, Visible};
 use sli_storage::{Observation, Provisional, Rid, Version, VersionChain, BASE_TS, NOTHING_SEEN};
 
 const TABLE: u32 = 1;
@@ -192,6 +195,16 @@ fn base_value(k: usize) -> Bytes {
     bytes(format!("base{k}"))
 }
 
+/// `MvccStore::read` of key `k` over a heap that still holds its base
+/// value, cloning what the snapshot sees.
+fn read(store: &MvccStore, k: usize, read_ts: u64, token: u64) -> Observation {
+    let (data, seen) = store.read(TABLE, rid(k), read_ts, token, |v| match v {
+        Visible::Chain(d) => d.cloned(),
+        Visible::Heap => Some(base_value(k)),
+    });
+    Observation { data, seen }
+}
+
 /// Property 3's executor: run `txns` (each a list of ops) through the
 /// store under `schedule`'s interleaving, committing each transaction
 /// when its ops run out. Returns `(committed: Vec<(commit_ts, slot)>,
@@ -267,7 +280,7 @@ fn run_history(
                     // read-set entry (matches the engine's MvccOps) —
                     // correct by construction, nothing to record.
                 } else {
-                    let obs = store.read(TABLE, rid(k), t.read_ts, token, Some(base_value(k)));
+                    let obs = read(&store, k, t.read_ts, token);
                     t.reads.push(ReadEntry {
                         table: TABLE,
                         rid: rid(k),
@@ -284,14 +297,9 @@ fn run_history(
                 if matches!(t.own.get(&k), Some(None)) {
                     continue; // own delete: the record is gone for us
                 }
-                match store.write(
-                    TABLE,
-                    rid(k),
-                    t.read_ts,
-                    token,
-                    data.clone(),
-                    Some(base_value(k)),
-                ) {
+                match store.write(TABLE, rid(k), t.read_ts, token, data.clone(), || {
+                    Some(base_value(k))
+                }) {
                     Ok(_) => {
                         t.own.insert(k, data);
                     }
@@ -369,7 +377,7 @@ proptest! {
         let final_token = txns.len() as u64 + 1;
         let expect = state_at(final_ts).clone();
         for k in 0..keys {
-            let obs = store.read(TABLE, rid(k), final_ts, final_token, Some(base_value(k)));
+            let obs = read(&store, k, final_ts, final_token);
             prop_assert_eq!(
                 &obs.data, &expect[&k],
                 "final state of key {} diverges from serial replay", k
@@ -405,15 +413,127 @@ proptest! {
         let token = slot as u64 + 1;
         let read_ts = store.begin(slot);
         let before: Vec<Option<Bytes>> = (0..keys)
-            .map(|k| store.read(TABLE, rid(k), read_ts, token, Some(base_value(k))).data)
+            .map(|k| read(&store, k, read_ts, token).data)
             .collect();
         let chains = store.chain_count();
         store.prune_pass();
         prop_assert_eq!(store.chain_count(), chains, "prune_pass removed a chain");
         for (k, expect) in before.iter().enumerate() {
-            let after = store.read(TABLE, rid(k), read_ts, token, Some(base_value(k))).data;
+            let after = read(&store, k, read_ts, token).data;
             prop_assert_eq!(&after, expect, "prune changed key {} under a live reader", k);
         }
         store.end(slot);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Targeted GC equals a full walk
+// ---------------------------------------------------------------------------
+
+/// One step of a GC history: a single-writer commit of updates
+/// (`true`) or deletes (`false`) on keys, a snapshot pinned or
+/// released on its own slot, an online prune, or an offline GC.
+#[derive(Clone, Debug)]
+enum GcStep {
+    Commit(Vec<(usize, bool)>),
+    Pin,
+    Unpin,
+    Prune,
+    Gc,
+}
+
+fn arb_gc_step(keys: usize) -> impl Strategy<Value = GcStep> {
+    (0..9u8, prop::collection::vec((0..keys, 0..5u8), 1..4)).prop_map(|(kind, ops)| match kind {
+        // One write in five is a delete.
+        0..=3 => GcStep::Commit(ops.into_iter().map(|(k, d)| (k, d != 0)).collect()),
+        4 => GcStep::Pin,
+        5 => GcStep::Unpin,
+        6 | 7 => GcStep::Prune,
+        _ => GcStep::Gc,
+    })
+}
+
+/// Every chain's committed versions, sorted by key: what pruning acts on.
+fn committed_by_key(store: &MvccStore) -> Vec<((u32, Rid), Vec<Version>)> {
+    let mut chains: Vec<_> = store
+        .chains()
+        .into_iter()
+        .map(|(key, chain)| (key, chain.committed))
+        .collect();
+    chains.sort_by_key(|(key, _)| *key);
+    chains
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Property 4: after every prune — online, or the prune an offline
+    /// GC falls back to under a pinned snapshot — the store holds
+    /// exactly the chains a walk over every chain would leave, and
+    /// counts exactly the versions that walk drops.
+    #[test]
+    fn targeted_prune_matches_a_full_walk(
+        steps in prop::collection::vec(arb_gc_step(6), 1..40),
+    ) {
+        let store = MvccStore::new(2, MvccConfig::default());
+        let (writer, pin) = (0u32, 1u32);
+        let mut pinned = false;
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                GcStep::Commit(ops) => {
+                    let ts = store.begin(writer);
+                    let token = writer as u64 + 1;
+                    let mut wrote = Vec::new();
+                    for &(k, update) in ops {
+                        let data = update.then(|| bytes(format!("s{i}k{k}")));
+                        if store
+                            .write(TABLE, rid(k), ts, token, data, || Some(base_value(k)))
+                            .is_ok()
+                        {
+                            wrote.push((TABLE, rid(k)));
+                        }
+                    }
+                    let cts = store.prepare_commit(writer);
+                    store.install(wrote.into_iter(), token, cts);
+                    store.finish_commit(writer);
+                    store.end(writer);
+                }
+                GcStep::Pin if !pinned => {
+                    store.begin(pin);
+                    pinned = true;
+                }
+                GcStep::Unpin if pinned => {
+                    store.end(pin);
+                    pinned = false;
+                }
+                GcStep::Pin | GcStep::Unpin => {}
+                GcStep::Prune | GcStep::Gc => {
+                    let watermark = store.watermark().unwrap_or_else(|| store.current_ts());
+                    let mut expect = committed_by_key(&store);
+                    let mut dropped = 0u64;
+                    for (_, versions) in &mut expect {
+                        let mut chain = VersionChain {
+                            provisional: None,
+                            committed: std::mem::take(versions),
+                        };
+                        dropped += chain.prune(watermark) as u64;
+                        *versions = chain.committed;
+                    }
+                    let before = store.stats().versions_pruned;
+                    if matches!(step, GcStep::Gc) {
+                        store.gc(|_, _| {});
+                        if !pinned {
+                            // Nothing active: every chain collapsed.
+                            prop_assert_eq!(store.chain_count(), 0);
+                            continue;
+                        }
+                    } else {
+                        store.prune_pass();
+                    }
+                    prop_assert_eq!(committed_by_key(&store), expect, "step {}", i);
+                    prop_assert_eq!(store.stats().versions_pruned - before, dropped, "step {}", i);
+                }
+            }
+        }
     }
 }

@@ -115,10 +115,17 @@ impl HeapTable {
 
     /// Read the record at `rid`.
     pub fn read(&self, rid: Rid) -> Option<Bytes> {
+        self.read_with(rid, |data| data.cloned())
+    }
+
+    /// Hand the record at `rid` to `f` by reference, under the page
+    /// latch (`None`: no such record).
+    pub fn read_with<T>(&self, rid: Rid, f: impl FnOnce(Option<&Bytes>) -> T) -> T {
         let dir = self.dir.read();
-        let page = dir.get(rid.page as usize)?;
-        let p = page.lock();
-        p.read(rid.slot)
+        match dir.get(rid.page as usize) {
+            Some(page) => f(page.lock().get(rid.slot)),
+            None => f(None),
+        }
     }
 
     /// Overwrite the record at `rid`, returning the before image.

@@ -73,7 +73,12 @@ impl SlottedPage {
 
     /// Read the record in `slot`.
     pub fn read(&self, slot: u16) -> Option<Bytes> {
-        self.slots.get(slot as usize)?.clone()
+        self.get(slot).cloned()
+    }
+
+    /// The record in `slot`, by reference.
+    pub fn get(&self, slot: u16) -> Option<&Bytes> {
+        self.slots.get(slot as usize)?.as_ref()
     }
 
     /// Overwrite the record in `slot`, returning the before image.

@@ -94,15 +94,19 @@ impl VersionChain {
     /// The newest committed version visible at `read_ts`: the first
     /// entry with `begin <= read_ts`. Pure function of `(self, read_ts)`.
     pub fn visible_at(&self, read_ts: u64) -> Observation {
+        let (data, seen) = self.visible_ref(read_ts);
+        Observation {
+            data: data.cloned(),
+            seen,
+        }
+    }
+
+    /// [`VersionChain::visible_at`] by reference: the visible bytes
+    /// (`None`: invisible) and the observed identity, without cloning.
+    pub fn visible_ref(&self, read_ts: u64) -> (Option<&Bytes>, u64) {
         match self.committed.iter().find(|v| v.begin <= read_ts) {
-            Some(v) => Observation {
-                data: v.data.clone(),
-                seen: v.begin,
-            },
-            None => Observation {
-                data: None,
-                seen: NOTHING_SEEN,
-            },
+            Some(v) => (v.data.as_ref(), v.begin),
+            None => (None, NOTHING_SEEN),
         }
     }
 
